@@ -51,7 +51,11 @@ Result<std::unique_ptr<ServiceRuntime>> ServiceRuntime::Start(
   rt->shard_map_ = std::make_shared<naming::ShardMap>();
   replica_options.shard_count = shards;
   for (std::uint32_t i = 0; i < shards; ++i) {
-    rt->naming_oplogs_.push_back(std::make_unique<naming::OpLog>());
+    // Only a warm standby ever reads the committed-op log (takeover replay)
+    // and nothing trims it, so without one the log would only grow.
+    rt->naming_oplogs_.push_back(options.naming_standby
+                                     ? std::make_unique<naming::OpLog>()
+                                     : nullptr);
     naming::OpLog* oplog = rt->naming_oplogs_.back().get();
     const std::string participant =
         shards <= 1 ? "naming" : "naming" + std::to_string(i);

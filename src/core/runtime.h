@@ -199,6 +199,7 @@ class ServiceRuntime {
 
   security::TableAuthenticator users_;
   std::shared_ptr<naming::ShardMap> shard_map_;
+  /// Per shard; null entries unless naming_standby.
   std::vector<std::unique_ptr<naming::OpLog>> naming_oplogs_;
   std::vector<std::unique_ptr<naming::ReplicaMap>> replica_maps_;
   std::unique_ptr<ChunkReplicator> replicator_;

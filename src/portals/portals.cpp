@@ -16,7 +16,7 @@ Nic::~Nic() { fabric_->Unregister(nid_); }
 
 Result<MeHandle> Nic::Attach(PortalIndex portal, MatchBits match_bits,
                              MatchBits ignore_bits, MutableByteSpan region,
-                             const MeOptions& options, EventQueue* eq,
+                             const MeOptions& options, EventSink* eq,
                              std::uint64_t user_data) {
   if (options.message_mode && !region.empty()) {
     return InvalidArgument("message-mode entry must not carry a region");
@@ -40,7 +40,7 @@ Result<MeHandle> Nic::Attach(PortalIndex portal, MatchBits match_bits,
 
 Result<MeHandle> Nic::AttachSlice(PortalIndex portal, MatchBits match_bits,
                                   MatchBits ignore_bits,
-                                  util::SharedSlice slice, EventQueue* eq,
+                                  util::SharedSlice slice, EventSink* eq,
                                   std::uint64_t user_data) {
   if (!slice.owned()) {
     return InvalidArgument("slice-backed entry needs an owned slice");

@@ -78,9 +78,22 @@ struct Event {
   std::vector<util::SharedSlice> parts;
 };
 
-/// Event queue handed to Attach(); bounded capacity models finite
-/// receive-descriptor resources on an I/O node.
-class EventQueue {
+/// Where a match entry delivers its events.  Deliver() runs on the
+/// initiating thread while it holds the target NIC's lock, so an
+/// implementation must only hand the event off: never block, and never call
+/// back into the NIC.  Returning false rejects the operation for lack of
+/// resources (the initiator sees kResourceExhausted).
+class EventSink {
+ public:
+  virtual bool Deliver(Event e) = 0;
+
+ protected:
+  ~EventSink() = default;  // sinks are owned as their concrete type
+};
+
+/// The usual EventSink: a queue the owner drains.  Bounded capacity models
+/// finite receive-descriptor resources on an I/O node.
+class EventQueue final : public EventSink {
  public:
   explicit EventQueue(std::size_t capacity = 0, util::Clock* clock = nullptr)
       : queue_(capacity, clock) {}
@@ -95,17 +108,14 @@ class EventQueue {
   /// Non-blocking poll.
   std::optional<Event> Poll() { return queue_.TryPop(); }
 
-  /// Inject a locally generated event (e.g. an RPC engine wake-up).  This
-  /// is not fabric traffic: it bypasses match lists and FabricStats.
-  bool Inject(Event e) { return queue_.TryPush(std::move(e)); }
-
   void Close() { queue_.Close(); }
   [[nodiscard]] std::size_t Size() const { return queue_.Size(); }
 
- private:
-  friend class Nic;
-  bool Deliver(Event e) { return queue_.TryPush(std::move(e)); }
+  /// Also the way to queue a locally generated event (e.g. an RPC engine
+  /// wake-up); that is not fabric traffic and bypasses FabricStats.
+  bool Deliver(Event e) override { return queue_.TryPush(std::move(e)); }
 
+ private:
   SyncQueue<Event> queue_;
 };
 
@@ -147,7 +157,7 @@ class Nic {
   /// outlive the entry (RAII wrapper: see RegisteredRegion below).
   Result<MeHandle> Attach(PortalIndex portal, MatchBits match_bits,
                           MatchBits ignore_bits, MutableByteSpan region,
-                          const MeOptions& options, EventQueue* eq,
+                          const MeOptions& options, EventSink* eq,
                           std::uint64_t user_data = 0);
 
   /// Register an *owned slice* as a get-only source region.  The entry
@@ -156,7 +166,7 @@ class Nic {
   /// safety property the zero-copy pull path rests on.
   Result<MeHandle> AttachSlice(PortalIndex portal, MatchBits match_bits,
                                MatchBits ignore_bits, util::SharedSlice slice,
-                               EventQueue* eq = nullptr,
+                               EventSink* eq = nullptr,
                                std::uint64_t user_data = 0);
 
   /// Remove a match entry.  Succeeds (idempotently) even if the entry
@@ -212,7 +222,7 @@ class Nic {
     MatchBits ignore_bits;
     MutableByteSpan region;
     MeOptions options;
-    EventQueue* eq;
+    EventSink* eq;
     std::uint64_t user_data;
     /// Set by AttachSlice: the ref that makes zero-copy GetSlice safe.
     util::SharedSlice slice;

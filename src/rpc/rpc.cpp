@@ -255,12 +255,53 @@ Result<Header> DecodeHeader(Decoder& dec) {
 // CallHandle
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+bool CallState::Deliver(portals::Event e) {
+  std::unique_lock<std::mutex> lock(mutex);
+  if (awaiting == 0 || done || mailbox.has_value()) {
+    lock.unlock();
+    return unawaited->Deliver(std::move(e));
+  }
+  mailbox = std::move(e);
+  lock.unlock();
+  // Still alive here: completing the call detaches this reply slot first,
+  // which waits for the NIC lock the replying thread holds.
+  util::OrReal(clock)->NotifyAll(cv);
+  return true;
+}
+
+}  // namespace detail
+
 Result<Buffer> CallHandle::Await() {
   if (!state_) return FailedPrecondition("awaiting an empty call handle");
-  util::Clock* clock = util::OrReal(state_->clock);
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  clock->Wait(state_->cv, lock, [&] { return state_->done; });
-  return state_->result;
+  {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    ++state_->awaiting;
+  }
+  return AwaitCounted(*state_);
+}
+
+Result<Buffer> CallHandle::AwaitCounted(detail::CallState& call) {
+  util::Clock* clock = util::OrReal(call.clock);
+  std::unique_lock<std::mutex> lock(call.mutex);
+  for (;;) {
+    clock->Wait(call.cv, lock,
+                [&] { return call.done || call.mailbox.has_value(); });
+    if (call.done) break;
+    portals::Event reply = std::move(*call.mailbox);
+    call.mailbox.reset();
+    // The client outlives every call that is not done, and BeginDrain
+    // keeps it alive across HandleReply.  A refusal means the client is
+    // being destroyed and will abort this call: wait for that instead.
+    if (!call.client->BeginDrain()) continue;
+    lock.unlock();
+    call.client->HandleReply(std::move(reply));
+    call.client->EndDrain();
+    lock.lock();
+  }
+  --call.awaiting;
+  return call.result;
 }
 
 bool CallHandle::TryAwait(Result<Buffer>* out) {
@@ -303,6 +344,13 @@ RpcClient::~RpcClient() {
   }
   WakeEngine();
   if (engine_.joinable()) clock_->Join(engine_);
+  // Let awaiting callers already inside HandleReply finish with this
+  // client; later ones leave their calls to the abort below.
+  {
+    std::unique_lock<std::mutex> lock(drain_mutex_);
+    drains_closed_ = true;
+    clock_->Wait(drain_cv_, lock, [&] { return drains_ == 0; });
+  }
   // Fail whatever was still in flight.  Regions detach before waiters wake,
   // so a late server push or reply hits no registered memory.
   std::vector<std::shared_ptr<detail::CallState>> pending;
@@ -327,7 +375,21 @@ void RpcClient::EnsureEngineLocked() {
 void RpcClient::WakeEngine() {
   portals::Event wake;
   wake.type = portals::EventType::kAck;  // replies arrive as kPut
-  completions_.Inject(std::move(wake));
+  completions_.Deliver(std::move(wake));
+}
+
+bool RpcClient::BeginDrain() {
+  std::lock_guard<std::mutex> lock(drain_mutex_);
+  if (drains_closed_) return false;
+  ++drains_;
+  return true;
+}
+
+void RpcClient::EndDrain() {
+  std::lock_guard<std::mutex> lock(drain_mutex_);
+  // Notify under the lock: once the destructor sees zero it may free
+  // drain_cv_.
+  if (--drains_ == 0 && drains_closed_) clock_->NotifyAll(drain_cv_);
 }
 
 bool RpcClient::PerformSend(const std::shared_ptr<detail::CallState>& state,
@@ -339,53 +401,59 @@ bool RpcClient::PerformSend(const std::shared_ptr<detail::CallState>& state,
   Status s = nic_->Put(state->server, state->request_portal, /*match_bits=*/0,
                        state->wire, 0, state->request_id);
   const auto now = clock_->Now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  state->sending = false;
-  auto it = inflight_.find(state->request_id);
-  if (it == inflight_.end() || it->second != state) {
-    // The reply raced back and completed the call while the Put was in
-    // flight; there is nothing left to bookkeep.
-    return true;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    state->sending = false;
+    auto it = inflight_.find(state->request_id);
+    if (it == inflight_.end() || it->second != state) {
+      // The reply raced back and completed the call while the Put was in
+      // flight; there is nothing left to bookkeep.
+      return true;
+    }
+    if (state->retransmit_pending) {
+      // A corrupt reply raced back during this Put and already scheduled
+      // the retransmit (accepted=false, next_send=now): keep that schedule
+      // instead of re-arming the reply deadline for a reply that was
+      // consumed.  The wake-up check below makes the timer pass send it.
+      state->retransmit_pending = false;
+    } else if (s.ok()) {
+      state->accepted = true;
+      state->deadline = now + state->timeout;
+    } else if (s.code() != ErrorCode::kResourceExhausted) {
+      *failure = std::move(s);
+      inflight_.erase(it);
+      return false;
+    } else if (++state->resend_attempts > state->max_resends) {
+      *failure =
+          ResourceExhausted("server request queue full, resends exhausted");
+      inflight_.erase(it);
+      return false;
+    } else {
+      resends_.fetch_add(1, std::memory_order_relaxed);
+      state->next_send =
+          now + std::chrono::microseconds(state->backoff.NextUs());
+    }
+    const auto timer = state->accepted ? state->deadline : state->next_send;
+    if (timer >= engine_wake_at_) return true;
   }
-  if (state->retransmit_pending) {
-    // A corrupt reply raced back during this Put and already scheduled the
-    // retransmit (accepted=false, next_send=now): keep that schedule
-    // instead of re-arming the reply deadline for a reply that was
-    // consumed.  The caller's WakeEngine() makes the timer pass send it.
-    state->retransmit_pending = false;
-    return true;
-  }
-  if (s.ok()) {
-    state->accepted = true;
-    state->deadline = now + state->timeout;
-    return true;
-  }
-  if (s.code() != ErrorCode::kResourceExhausted) {
-    *failure = std::move(s);
-    inflight_.erase(it);
-    return false;
-  }
-  if (++state->resend_attempts > state->max_resends) {
-    *failure =
-        ResourceExhausted("server request queue full, resends exhausted");
-    inflight_.erase(it);
-    return false;
-  }
-  resends_.fetch_add(1, std::memory_order_relaxed);
-  state->next_send = now + std::chrono::microseconds(state->backoff.NextUs());
+  // The engine sleeps past this call's timer: make it re-arm.
+  WakeEngine();
   return true;
 }
 
-Status RpcClient::ReattachReplySlot(detail::CallState& state) {
+Status RpcClient::AttachReplySlot(detail::CallState& state) {
+  // One message-mode entry matched by request id.  deliver_parts lets a
+  // reply frame carrying a bulk slice arrive as the sender's part list by
+  // reference — the zero-copy read delivery.
   portals::MeOptions reply_opts;
   reply_opts.allow_put = true;
   reply_opts.message_mode = true;
   reply_opts.unlink_on_use = true;
-  reply_opts.deliver_parts = true;  // frame-carried bulk arrives zero-copy
+  reply_opts.deliver_parts = true;
   auto me = nic_->Attach(kReplyPortal, state.request_id, 0, {}, reply_opts,
-                         &completions_);
+                         &state);
   if (!me.ok()) return me.status();
-  // Move-assign releases the consumed entry (Detach is idempotent for
+  // Move-assign releases a consumed entry (Detach is idempotent for
   // already-unlinked handles).
   state.reply_region = portals::RegisteredRegion(nic_, *me);
   return OkStatus();
@@ -450,6 +518,7 @@ void RpcClient::FinishCall(const std::shared_ptr<detail::CallState>& state,
     std::lock_guard<std::mutex> lock(state->mutex);
     state->done = true;
     state->result = std::move(result);
+    state->mailbox.reset();  // a frame that lost the race to a timeout
     on_complete = std::move(state->on_complete);
     state->on_complete = nullptr;
   }
@@ -463,6 +532,12 @@ void RpcClient::FinishCall(const std::shared_ptr<detail::CallState>& state,
 Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
                                         ByteSpan request,
                                         const CallOptions& options) {
+  return Issue(server, opcode, request, options, /*awaiting=*/0);
+}
+
+Result<CallHandle> RpcClient::Issue(portals::Nid server, Opcode opcode,
+                                    ByteSpan request,
+                                    const CallOptions& options, int awaiting) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     Status admitted = AdmitLocked(server);
@@ -480,6 +555,9 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
   }
 
   auto state = std::make_shared<detail::CallState>();
+  state->client = this;
+  state->unawaited = &completions_;
+  state->awaiting = awaiting;
   state->request_id = request_id;
   state->clock = clock_;
   state->opcode = opcode;
@@ -497,19 +575,7 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
   state->backoff =
       Backoff((static_cast<std::uint64_t>(nic_->nid()) << 32) ^ request_id);
 
-  // Reply slot: one message-mode entry matched by request id, delivering
-  // into the client-wide completion queue.  deliver_parts lets a reply
-  // frame carrying a bulk slice arrive as the sender's part list by
-  // reference — the zero-copy read delivery.
-  portals::MeOptions reply_opts;
-  reply_opts.allow_put = true;
-  reply_opts.message_mode = true;
-  reply_opts.unlink_on_use = true;
-  reply_opts.deliver_parts = true;
-  auto reply_me = nic_->Attach(kReplyPortal, request_id, 0, {}, reply_opts,
-                               &completions_);
-  if (!reply_me.ok()) return reply_me.status();
-  state->reply_region = portals::RegisteredRegion(nic_, *reply_me);
+  LWFS_RETURN_IF_ERROR(AttachReplySlot(*state));
 
   // Bulk registrations.  The server may move data in chunks at its own
   // pace, so the entries persist until the completion event (the engine
@@ -589,9 +655,6 @@ Result<CallHandle> RpcClient::CallAsync(portals::Nid server, Opcode opcode,
     }
     return send_failure;
   }
-  // The engine may be sleeping toward a far-off deadline; make it take
-  // this call's deadline/resend schedule into account.
-  WakeEngine();
   return CallHandle(state);
 }
 
@@ -602,9 +665,9 @@ std::map<Opcode, ClientOpTally> RpcClient::OpTallies() const {
 
 Result<Buffer> RpcClient::Call(portals::Nid server, Opcode opcode,
                                ByteSpan request, const CallOptions& options) {
-  auto handle = CallAsync(server, opcode, request, options);
+  auto handle = Issue(server, opcode, request, options, /*awaiting=*/1);
   if (!handle.ok()) return handle.status();
-  return handle->Await();
+  return CallHandle::AwaitCounted(*handle->state_);
 }
 
 Result<Buffer> RpcClient::ResolveReply(
@@ -651,6 +714,71 @@ Result<Buffer> RpcClient::ResolveReply(
     }
   }
   return std::move(*body);
+}
+
+void RpcClient::HandleReply(portals::Event event) {
+  // Verify frame integrity, then route the reply to its call by request id
+  // (a reply for a call that already finished finds no entry and is
+  // dropped).  The frame arrives either as a referenced part list
+  // (deliver_parts — zero-copy) or as one gathered/corruption-flattened
+  // payload; both verify through the streaming multi-part path.
+  std::vector<util::SharedSlice> reply_parts;
+  if (!event.parts.empty()) {
+    reply_parts = std::move(event.parts);
+  } else {
+    reply_parts.push_back(std::move(event.payload));
+  }
+  const bool frame_ok = VerifyAndStripCrcParts(reply_parts);
+  std::shared_ptr<detail::CallState> state;
+  Status corrupt_failure = OkStatus();
+  bool wake_engine = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = inflight_.find(event.match_bits);
+    if (it == inflight_.end()) return;
+    if (frame_ok) {
+      state = std::move(it->second);
+      inflight_.erase(it);
+    } else {
+      // Corrupt reply.  The delivery consumed the unlink_on_use reply slot,
+      // so re-arm it and retransmit within budget; the server's reply cache
+      // will re-send the intact frame.
+      crc_rejects_.fetch_add(1, std::memory_order_relaxed);
+      detail::CallState& s = *it->second;
+      Status reattach = AttachReplySlot(s);
+      if (reattach.ok() && s.retransmits_used < s.max_retransmits) {
+        ++s.retransmits_used;
+        retransmits_.fetch_add(1, std::memory_order_relaxed);
+        s.accepted = false;
+        s.next_send = clock_->Now();
+        // The corrupt reply can beat the sender's own Put-return (the
+        // fabric delivers synchronously): flag the reschedule so
+        // PerformSend does not overwrite it with accepted=true, and leave
+        // the engine ping to PerformSend.  Otherwise the engine's next
+        // timer pass performs the Put (sends never run under mutex_).
+        if (s.sending) {
+          s.retransmit_pending = true;
+        } else {
+          wake_engine = s.next_send < engine_wake_at_;
+        }
+      } else {
+        state = std::move(it->second);
+        inflight_.erase(it);
+        corrupt_failure = reattach.ok()
+                              ? DataLoss("corrupt reply, retransmits exhausted")
+                              : std::move(reattach);
+      }
+    }
+  }
+  if (wake_engine) WakeEngine();
+  if (!state) return;
+  if (frame_ok) {
+    FinishCall(state, ResolveReply(*state, reply_parts), Contact::kReplied);
+  } else {
+    // Something did arrive, so the server is alive — but the call is out
+    // of retransmit budget (or the slot could not be re-armed).
+    FinishCall(state, std::move(corrupt_failure), Contact::kReplied);
+  }
 }
 
 void RpcClient::EngineLoop() {
@@ -704,6 +832,14 @@ void RpcClient::EngineLoop() {
                              state.accepted ? state.deadline : state.next_send);
         ++it;
       }
+      // Idle, wake one default timeout from now: a new call's deadline is
+      // then normally later, so issuing it need not ping the engine.
+      if (next_wake == util::Clock::TimePoint::max()) {
+        next_wake = now + options_.default_timeout;
+      }
+      // After sends the loop rescans at once, so no call needs to ping.
+      engine_wake_at_ =
+          to_send.empty() ? next_wake : util::Clock::TimePoint::min();
     }
     for (auto& state : to_send) {
       Status failure = OkStatus();
@@ -719,77 +855,14 @@ void RpcClient::EngineLoop() {
 
     std::optional<portals::Event> event;
     const auto now = clock_->Now();
-    if (next_wake == util::Clock::TimePoint::max()) {
-      // Nothing in flight: sleep until a new call wakes us.
-      event = completions_.WaitFor(std::chrono::hours(1));
-    } else if (next_wake > now) {
+    if (next_wake > now) {
       event = completions_.WaitFor(next_wake - now);
     } else {
       event = completions_.Poll();
     }
     if (!event) continue;                                  // timer due
     if (event->type != portals::EventType::kPut) continue;  // wake-up ping
-
-    // A reply: verify frame integrity, then route it to its call by request
-    // id (completions for calls that already finished find no entry and are
-    // dropped).  The frame arrives either as a referenced part list
-    // (deliver_parts — zero-copy) or as one gathered/corruption-flattened
-    // payload; both verify through the streaming multi-part path.
-    std::vector<util::SharedSlice> reply_parts;
-    if (!event->parts.empty()) {
-      reply_parts = std::move(event->parts);
-    } else {
-      reply_parts.push_back(event->payload);
-    }
-    const bool frame_ok = VerifyAndStripCrcParts(reply_parts);
-    std::shared_ptr<detail::CallState> state;
-    Status corrupt_failure = OkStatus();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = inflight_.find(event->match_bits);
-      if (it != inflight_.end()) {
-        if (frame_ok) {
-          state = std::move(it->second);
-          inflight_.erase(it);
-        } else {
-          // Corrupt reply.  The delivery consumed the unlink_on_use reply
-          // slot, so re-arm it and retransmit within budget; the server's
-          // reply cache will re-send the intact frame.
-          crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-          detail::CallState& s = *it->second;
-          Status reattach = ReattachReplySlot(s);
-          if (reattach.ok() && s.retransmits_used < s.max_retransmits) {
-            ++s.retransmits_used;
-            retransmits_.fetch_add(1, std::memory_order_relaxed);
-            s.accepted = false;
-            s.next_send = clock_->Now();
-            // The corrupt reply can beat the sender's own Put-return (the
-            // fabric delivers synchronously): flag the reschedule so
-            // PerformSend does not overwrite it with accepted=true.
-            if (s.sending) s.retransmit_pending = true;
-            // The next timer pass performs the Put (sends never run under
-            // mutex_).
-          } else {
-            state = std::move(it->second);
-            inflight_.erase(it);
-            corrupt_failure =
-                reattach.ok()
-                    ? DataLoss("corrupt reply, retransmits exhausted")
-                    : std::move(reattach);
-          }
-        }
-      }
-    }
-    if (state) {
-      if (frame_ok) {
-        FinishCall(state, ResolveReply(*state, reply_parts),
-                   Contact::kReplied);
-      } else {
-        // Something did arrive, so the server is alive — but the call is
-        // out of retransmit budget (or the slot could not be re-armed).
-        FinishCall(state, std::move(corrupt_failure), Contact::kReplied);
-      }
-    }
+    HandleReply(std::move(*event));
   }
 }
 

@@ -12,14 +12,22 @@
 // paper charges against client-pushed designs, but paid on tiny messages
 // instead of the bulk payload.
 //
-// The client side is an asynchronous completion engine: CallAsync() issues
-// the small request and returns a CallHandle immediately; a single engine
-// thread per RpcClient drains a shared completion queue, tracks per-call
-// deadlines, and retries rejected sends with decorrelated-jitter backoff.
-// That lets any number of caller threads keep a *bounded window* of
-// requests in flight — the "outstanding requests" knob Figure 6's
-// flow-control argument is about — without one OS thread per request.
-// Call() remains as a thin CallAsync+Await wrapper.
+// The client side is asynchronous: CallAsync() issues the small request and
+// returns a CallHandle immediately.  Each call's reply slot delivers into
+// the call itself.  When a thread is parked in CallHandle::Await(), the
+// reply frame goes straight to that thread, which verifies it and completes
+// its own call; a small synchronous call therefore wakes two threads (the
+// server worker for the request, the caller for the reply).  One engine
+// thread per RpcClient keeps everything else: the timers (per-call reply
+// deadlines, retransmits, resends of rejected sends with decorrelated-jitter
+// backoff) and the replies nobody awaits (OnComplete carriers, TryAwait
+// pollers, dropped handles), which reach it through a shared completion
+// queue.  A new call pings the engine only when its timer is earlier than
+// the engine's armed wake-up, so in steady state the engine wakes about
+// once per call timeout, not once per call.  Any number of caller threads
+// can thus keep a *bounded window* of requests in flight — the
+// "outstanding requests" knob Figure 6's flow-control argument is about —
+// without one OS thread per request.  Call() is CallAsync + Await.
 //
 // Robustness (PR 3): every request/reply frame carries a CRC32 trailer and
 // the request header carries a checksum of the registered write payload, so
@@ -46,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -177,14 +186,21 @@ struct CallOptions {
   portals::PortalIndex request_portal = kRequestPortal;
 };
 
+class RpcClient;
+
 namespace detail {
 
-/// Shared state of one in-flight call.  The awaiting thread and the
-/// client's engine thread both hold references; the registered reply/bulk
-/// entries live here so the caller's memory stays attached to the fabric
-/// until the completion event — never longer, never shorter.
-struct CallState {
+/// Shared state of one in-flight call, and the event sink of its reply
+/// slot.  The awaiting thread and the client's engine thread both hold
+/// references; the registered reply/bulk entries live here so the caller's
+/// memory stays attached to the fabric until the completion event — never
+/// longer, never shorter.
+struct CallState final : portals::EventSink {
   // Immutable after issue.
+  RpcClient* client = nullptr;  // valid while the call is not done
+  /// Where a reply goes when no thread is parked in Await(): the client's
+  /// completion queue, drained by the engine.
+  portals::EventSink* unawaited = nullptr;
   std::uint64_t request_id = 0;
   Opcode opcode = 0;  // for per-op client tallies
   portals::Nid server = portals::kInvalidNid;
@@ -200,8 +216,8 @@ struct CallState {
   /// Bulk payload that rode the reply frame itself (slice read path).  When
   /// the fabric delivered the frame's parts by reference this aliases the
   /// server-side bytes — store-owned memory on a first execution, the reply
-  /// cache's frame on a retransmit.  Written by the engine before `done` is
-  /// published; read through CallHandle::ReplyBulk() afterwards.
+  /// cache's frame on a retransmit.  Written by the completing thread before
+  /// `done` is published; read through CallHandle::ReplyBulk() afterwards.
   util::SharedSlice reply_bulk;
 
   util::Clock* clock = nullptr;  // set at issue, used by Await/FinishCall
@@ -226,11 +242,20 @@ struct CallState {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
+  /// Threads parked in CallHandle::Await().  While nonzero, a reply lands
+  /// in `mailbox` and wakes them instead of going to the engine.
+  int awaiting = 0;
+  std::optional<portals::Event> mailbox;
   Result<Buffer> result = Buffer{};
   /// One-shot completion callback (CallHandle::OnComplete).  Stored while
   /// the call is pending; extracted and invoked exactly once when the
   /// result is published.
   std::function<void(const Result<Buffer>&)> on_complete;
+
+  /// Reply-slot delivery, on the replying thread under the client NIC's
+  /// lock: mail the frame to a parked awaiter, else forward it to
+  /// `unawaited`.
+  bool Deliver(portals::Event e) override;
 };
 
 }  // namespace detail
@@ -250,6 +275,8 @@ class CallHandle {
   }
 
   /// Block until the call completes; returns the reply body or the error.
+  /// The reply is delivered to this thread, which verifies it and completes
+  /// the call itself (the engine is not involved unless a timer fires).
   Result<Buffer> Await();
 
   /// Non-blocking: if the call has completed, fill *out and return true.
@@ -262,11 +289,13 @@ class CallHandle {
   ///
   /// Contract:
   ///  - If the call is already done, `fn` runs immediately on the calling
-  ///    thread; otherwise it runs on the client's engine thread, after
-  ///    `done` is set and before waiters blocked in Await() are released.
-  ///    Either way, TryAwait() inside (or after) the callback succeeds.
+  ///    thread.  Otherwise it runs on whichever thread completes the call:
+  ///    the client's engine thread, or a thread parked in Await() on this
+  ///    call.  It runs after `done` is set and before Await() returns or
+  ///    releases its waiters, and TryAwait() inside (or after) the callback
+  ///    succeeds.
   ///  - `fn` must be fast and must not block or issue blocking calls: it
-  ///    runs on the completion engine, so a slow callback delays every
+  ///    may run on the engine thread, where a slow callback delays every
   ///    other in-flight call on the same client.  Typical use is "flip a
   ///    flag under a mutex and Notify a condition variable".
   ///  - At most one callback per call; a second OnComplete replaces an
@@ -285,12 +314,19 @@ class CallHandle {
   explicit CallHandle(std::shared_ptr<detail::CallState> state)
       : state_(std::move(state)) {}
 
+  /// Await() for a caller already counted in `call.awaiting`: park until
+  /// the call is done, completing it on this thread when its reply is
+  /// mailed here.  Uncounts the caller on return.
+  static Result<Buffer> AwaitCounted(detail::CallState& call);
+
   std::shared_ptr<detail::CallState> state_;
 };
 
 /// Issues calls from one client endpoint.  Thread-safe: any number of
 /// threads may issue sync or async calls on one RpcClient; one lazily
-/// started engine thread handles completions, deadlines, and resends.
+/// started engine thread handles deadlines, resends, and the completions
+/// no caller awaits.  Destroying the client aborts the calls still in
+/// flight (kAborted), including calls other threads are awaiting.
 class RpcClient {
  public:
   explicit RpcClient(std::shared_ptr<portals::Nic> nic,
@@ -312,8 +348,10 @@ class RpcClient {
                                ByteSpan request,
                                const CallOptions& options = {});
 
-  /// Synchronous call: CallAsync + Await.  On success returns the reply
-  /// body.
+  /// Synchronous call: CallAsync + Await, with the caller counted as
+  /// awaiting before the request goes out, so even a reply that beats it
+  /// to Await() comes to it rather than to the engine.  On success returns
+  /// the reply body.
   Result<Buffer> Call(portals::Nid server, Opcode opcode, ByteSpan request,
                       const CallOptions& options = {});
 
@@ -339,6 +377,8 @@ class RpcClient {
   [[nodiscard]] util::Clock* clock() const { return clock_; }
 
  private:
+  friend class CallHandle;
+
   /// How a finished call reflects on the target server's health.
   enum class Contact {
     kReplied,           // a decodable reply arrived: the server is alive
@@ -346,12 +386,17 @@ class RpcClient {
     kNeutral,           // client-side abort; says nothing about the server
   };
 
+  /// CallAsync with `awaiting` threads already counted on the new call.
+  Result<CallHandle> Issue(portals::Nid server, Opcode opcode,
+                           ByteSpan request, const CallOptions& options,
+                           int awaiting);
   void EngineLoop();
   void EnsureEngineLocked();
   void WakeEngine();
   /// Perform the Put for `state` — *outside* mutex_, because an injected
   /// fabric delay may sleep inside Put and the engine must never sleep
-  /// holding the client lock — then reacquire it to apply the outcome.
+  /// holding the client lock — then reacquire it to apply the outcome, and
+  /// ping the engine if the call's new timer is due before its wake-up.
   /// The caller marked `state.sending` under mutex_ first.  Returns false
   /// when the call failed terminally: the state has been removed from
   /// inflight_ and the caller must complete it with `*failure`.
@@ -361,8 +406,19 @@ class RpcClient {
   /// wake waiters.
   void FinishCall(const std::shared_ptr<detail::CallState>& state,
                   Result<Buffer> result, Contact contact);
-  /// Re-arm the (unlink_on_use) reply slot after a corrupt reply consumed it.
-  Status ReattachReplySlot(detail::CallState& state);
+  /// Attach (or re-arm, after a corrupt reply consumed it) the call's
+  /// unlink_on_use reply slot, delivering into the call itself.
+  Status AttachReplySlot(detail::CallState& state);
+  /// The one reply path, run by the engine for queued completions and by
+  /// an awaiting caller for the frame mailed to its call: verify the frame
+  /// CRC, then complete the call — or, for a corrupt frame, re-arm the slot
+  /// and schedule a retransmit within budget.
+  void HandleReply(portals::Event event);
+  /// An awaiting caller brackets HandleReply with these.  BeginDrain fails
+  /// once the destructor has started aborting in-flight calls; the
+  /// destructor first waits until no caller is inside.
+  bool BeginDrain();
+  void EndDrain();
   /// Decode a CRC-verified reply frame, delivered as one or more parts (the
   /// CRC trailer already stripped).  Region-push reads verify the pushed
   /// bulk payload against the checksum the server reported; a frame-carried
@@ -377,7 +433,7 @@ class RpcClient {
   std::shared_ptr<portals::Nic> nic_;
   ClientOptions options_;
   util::Clock* clock_;
-  /// Shared completion queue: every reply match entry delivers here
+  /// Shared completion queue: replies no caller awaits, and engine pings
   /// (unbounded — local completions, not a modeled NIC resource).
   portals::EventQueue completions_;
 
@@ -385,6 +441,15 @@ class RpcClient {
   bool engine_running_ = false;
   bool stopping_ = false;
   std::thread engine_;
+  /// When the engine will next wake on its own (guarded by mutex_, set in
+  /// each timer pass); TimePoint::min() while it is about to rescan anyway.
+  /// A call whose timer is due earlier pings it.
+  util::Clock::TimePoint engine_wake_at_ = util::Clock::TimePoint::min();
+  /// Callers inside HandleReply (leaf lock: taken under a call's mutex).
+  std::mutex drain_mutex_;
+  std::condition_variable drain_cv_;
+  int drains_ = 0;
+  bool drains_closed_ = false;
   std::unordered_map<std::uint64_t, std::shared_ptr<detail::CallState>>
       inflight_;
 

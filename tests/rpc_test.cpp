@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -835,6 +838,248 @@ TEST(RpcVirtualClockTest, OnCompleteTimeoutPathNeverDeadlocksOnVirtualTime) {
   EXPECT_TRUE(again->Await().ok());
   EXPECT_TRUE(ok_ran.load());
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Replies delivered to the awaiting caller; engine wake-ups gated on timers
+// ---------------------------------------------------------------------------
+
+using std::chrono_literals::operator""ms;
+using std::chrono_literals::operator""s;
+
+/// Fabric, servers, clients and the test thread on one VirtualClock: timers
+/// cost no wall time, and "the caller is parked in Await()" is a fact of
+/// the schedule rather than a race.
+class RpcAwaitVirtualTest : public ::testing::Test {
+ protected:
+  RpcAwaitVirtualTest() : guard_(&clock_) { fabric_.SetClock(&clock_); }
+
+  /// A server NIC whose request portal queues into `requests` (its
+  /// capacity bounds the portal) and never answers.
+  std::shared_ptr<portals::Nic> SilentServer(portals::EventQueue* requests) {
+    auto nic = fabric_.CreateNic();
+    portals::MeOptions me;
+    me.allow_put = true;
+    me.message_mode = true;
+    EXPECT_TRUE(
+        nic->Attach(kRequestPortal, 0, ~0ULL, {}, me, requests).ok());
+    return nic;
+  }
+
+  /// A started server whose echo handler sleeps 1 ms of virtual time
+  /// before it answers, so a caller that went on to Await() is parked by
+  /// the time the reply arrives.
+  std::unique_ptr<RpcServer> SlowServer() {
+    ServerOptions options;
+    options.clock = &clock_;
+    auto server = std::make_unique<RpcServer>(fabric_.CreateNic(), options);
+    server->RegisterHandler(kEcho, [this](ServerContext&, Decoder&) {
+      clock_.SleepFor(1ms);
+      return Result<Buffer>(Buffer{});
+    });
+    EXPECT_TRUE(server->Start().ok());
+    return server;
+  }
+
+  ClientOptions Options() {
+    ClientOptions options;
+    options.clock = &clock_;
+    options.breaker_threshold = 0;
+    return options;
+  }
+
+  util::VirtualClock clock_;
+  util::Clock::ThreadGuard guard_;
+  portals::Fabric fabric_;
+};
+
+TEST_F(RpcAwaitVirtualTest, ShortTimeoutFiresBeforeTheEnginesArmedWakeUp) {
+  portals::EventQueue requests(0, &clock_);
+  auto silent = SilentServer(&requests);
+  RpcClient client(fabric_.CreateNic(), Options());
+  CallOptions patient;
+  patient.timeout = 5s;
+  patient.max_retransmits = 0;
+  auto armed = client.CallAsync(silent->nid(), kEcho, {}, patient);
+  ASSERT_TRUE(armed.ok());
+  clock_.SleepFor(1ms);  // the engine arms its wake-up for the 5 s deadline
+
+  // The later, shorter deadline must pull the engine's wake-up forward.
+  const auto start = clock_.Now();
+  CallOptions hasty;
+  hasty.timeout = 50ms;
+  hasty.max_retransmits = 0;
+  auto call = client.CallAsync(silent->nid(), kEcho, {}, hasty);
+  ASSERT_TRUE(call.ok());
+  EXPECT_EQ(call->Await().status().code(), ErrorCode::kTimeout);
+  EXPECT_GE(clock_.Now() - start, 50ms);
+  EXPECT_LT(clock_.Now() - start, 60ms);
+  Result<Buffer> peek = Buffer{};
+  EXPECT_FALSE(armed->TryAwait(&peek));
+}
+
+TEST_F(RpcAwaitVirtualTest, ResendAgainstFullPortalFiresOnItsBackoff) {
+  portals::EventQueue unanswered(0, &clock_);
+  auto silent = SilentServer(&unanswered);
+  portals::EventQueue one_slot(1, &clock_);
+  auto full = SilentServer(&one_slot);
+  ASSERT_TRUE(silent->Put(full->nid(), kRequestPortal, 0, ByteSpan{}).ok());
+
+  RpcClient client(fabric_.CreateNic(), Options());
+  CallOptions patient;
+  patient.timeout = 5s;
+  auto armed = client.CallAsync(silent->nid(), kEcho, {}, patient);
+  ASSERT_TRUE(armed.ok());
+  clock_.SleepFor(1ms);  // the engine arms its wake-up for the 5 s deadline
+
+  // Every send is rejected; each resend is due tens of microseconds later,
+  // long before the engine's armed wake-up.
+  const auto start = clock_.Now();
+  CallOptions bounded;
+  bounded.max_resends = 3;
+  auto call = client.CallAsync(full->nid(), kEcho, {}, bounded);
+  ASSERT_TRUE(call.ok());
+  EXPECT_EQ(call->Await().status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(client.stats().resends, 3u);
+  EXPECT_LT(clock_.Now() - start, 10ms);
+  Result<Buffer> peek = Buffer{};
+  EXPECT_FALSE(armed->TryAwait(&peek));
+}
+
+TEST_F(RpcAwaitVirtualTest, CorruptReplyToParkedCallerIsRetransmitted) {
+  ServerOptions sopts;
+  sopts.clock = &clock_;
+  sopts.reply_cache_entries = 0;  // the retransmit re-runs the handler
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic, sopts);
+  RpcClient client(fabric_.CreateNic(), Options());
+  std::atomic<int> runs{0};
+  server.RegisterHandler(kEcho, [&](ServerContext&, Decoder&) {
+    if (++runs == 1) {
+      // Answer once the caller is parked, and corrupt that one answer.
+      clock_.SleepFor(1ms);
+      fabric_.injector().SetLink(nic->nid(), client.nid(), {.corrupt = 1.0});
+    } else {
+      fabric_.injector().ClearFaults();
+    }
+    return Result<Buffer>(Buffer{});
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto start = clock_.Now();
+  auto call = client.CallAsync(nic->nid(), kEcho, {});
+  ASSERT_TRUE(call.ok());
+  EXPECT_TRUE(call->Await().ok());
+  EXPECT_EQ(client.stats().crc_rejects, 1u);
+  EXPECT_EQ(client.stats().retransmits, 1u);
+  EXPECT_EQ(runs.load(), 2);
+  // Retransmitted at once, not when the 5 s reply deadline ran out.
+  EXPECT_LT(clock_.Now() - start, 10ms);
+  server.Stop();
+}
+
+TEST_F(RpcAwaitVirtualTest, OnCompleteRunsOnceOnTheAwaitingThread) {
+  auto server = SlowServer();
+  RpcClient client(fabric_.CreateNic(), Options());
+  auto call = client.CallAsync(server->nid(), kEcho, {});
+  ASSERT_TRUE(call.ok());
+  int fired = 0;
+  std::thread::id ran_on;
+  call->OnComplete([&](const Result<Buffer>& result) {
+    EXPECT_TRUE(result.ok());
+    ++fired;
+    ran_on = std::this_thread::get_id();
+  });
+  ASSERT_TRUE(call->Await().ok());
+  // The parked caller completed its own call, so the callback ran on this
+  // thread, inside Await().
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  server->Stop();
+}
+
+TEST_F(RpcAwaitVirtualTest, OnCompleteAloneCompletesOnTheEngine) {
+  auto server = SlowServer();
+  RpcClient client(fabric_.CreateNic(), Options());
+  auto call = client.CallAsync(server->nid(), kEcho, {});
+  ASSERT_TRUE(call.ok());
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool fired = false;
+  std::thread::id ran_on;
+  call->OnComplete([&](const Result<Buffer>& result) {
+    EXPECT_TRUE(result.ok());
+    std::lock_guard<std::mutex> lock(mutex);
+    fired = true;
+    ran_on = std::this_thread::get_id();
+    clock_.NotifyAll(cv);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    clock_.Wait(cv, lock, [&] { return fired; });
+  }
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  Result<Buffer> result = Buffer{};
+  EXPECT_TRUE(call->TryAwait(&result));
+  EXPECT_TRUE(result.ok());
+  server->Stop();
+}
+
+class RpcAwaitTest : public RpcTest {};
+
+TEST_F(RpcAwaitTest, ClientDestroyedWhileCallerParkedAborts) {
+  auto nic = fabric_.CreateNic();
+  RpcServer server(nic, {});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  server.RegisterHandler(kGated,
+                         [gate](ServerContext&, Decoder&) -> Result<Buffer> {
+                           gate.wait();
+                           return Buffer{};
+                         });
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = std::make_unique<RpcClient>(fabric_.CreateNic());
+  auto call = client->CallAsync(nic->nid(), kGated, {});
+  ASSERT_TRUE(call.ok());
+  std::promise<ErrorCode> code;
+  std::thread waiter([&code, handle = *call]() mutable {
+    code.set_value(handle.Await().status().code());
+  });
+  util::RealClockInstance()->SleepFor(10ms);  // let the waiter park
+  client.reset();
+  EXPECT_EQ(code.get_future().get(), ErrorCode::kAborted);
+  waiter.join();
+  release.set_value();
+  server.Stop();
+}
+
+TEST_F(RpcAwaitTest, ClientDestroyedWhileCallersDrainReplies) {
+  // Replies race the destructor: each awaiter either completes its call
+  // itself or sees it aborted, and none touches the client afterwards.
+  StartServer();
+  auto client = std::make_unique<RpcClient>(fabric_.CreateNic());
+  Encoder req;
+  req.PutString("race");
+  constexpr int kCalls = 8;
+  std::atomic<int> ok{0};
+  std::atomic<int> aborted{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kCalls; ++i) {
+    auto call = client->CallAsync(server_->nid(), kEcho, ByteSpan(req.buffer()));
+    ASSERT_TRUE(call.ok());
+    waiters.emplace_back([&, handle = *call]() mutable {
+      auto reply = handle.Await();
+      if (reply.ok()) {
+        ++ok;
+      } else if (reply.status().code() == ErrorCode::kAborted) {
+        ++aborted;
+      }
+    });
+  }
+  client.reset();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(ok.load() + aborted.load(), kCalls);
 }
 
 // ---------------------------------------------------------------------------
